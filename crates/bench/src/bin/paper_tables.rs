@@ -1,5 +1,6 @@
 //! Regenerates every table and figure of the paper plus the measured
-//! experiment tables recorded in EXPERIMENTS.md.
+//! experiment tables E1–E13 (the index is the list of `e*` functions
+//! below; the tables print to stdout and are not recorded in a file).
 //!
 //! ```sh
 //! cargo run --release -p fd-bench --bin paper_tables           # full

@@ -1,8 +1,12 @@
 //! # fd-bench
 //!
 //! Benchmark harness regenerating every table, figure and complexity /
-//! ordering claim of the paper (the per-experiment index lives in
-//! DESIGN.md; results are recorded in EXPERIMENTS.md). The crate offers:
+//! ordering claim of the paper. The per-experiment index is the E1–E13
+//! list of the `paper_tables` binary (`src/bin/paper_tables.rs`); the
+//! measured trajectories of the harness benches are committed as the
+//! `BENCH_*.json` files at the repository root, and the repository
+//! benchmark (`fdbench/`, described by `BENCHMARK.json`) owns the
+//! end-to-end numbers. The crate offers:
 //!
 //! * shared workload constructors used by both the Criterion benches and
 //!   the `paper_tables` binary, so the two always measure the same

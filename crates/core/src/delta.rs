@@ -31,6 +31,7 @@ use crate::getnext::{get_next_result, ScanScope};
 use crate::incremental::FdConfig;
 use crate::jcc::{extend_to_maximal, rebuild};
 use crate::lists::{CompleteStore, IncompleteQueue};
+use crate::model::Exact;
 use crate::stats::Stats;
 use crate::tupleset::TupleSet;
 use fd_relational::fxhash::FxHashSet;
@@ -127,7 +128,10 @@ pub fn delta_insert_many(
 
     let mut added: Vec<TupleSet> = Vec::new();
     let mut emitted: FxHashSet<Box<[TupleId]>> = FxHashSet::default();
-    while let Some((_, set)) = get_next_result(&scope, &mut incomplete, &complete, &mut stats) {
+    while let Some((_, set)) =
+        get_next_result(&Exact, &scope, &mut incomplete, &complete, &mut stats)
+    {
+        stats.results += 1;
         // The Complete store already suppresses subsets of printed sets;
         // the canonical filter additionally drops exact re-derivations
         // (two seeds contained in one maximal set each derive it once).

@@ -356,40 +356,11 @@ pub fn extend_to_maximal(db: &Database, set: TupleSet, stats: &mut Stats) -> Tup
 /// candidate (it also keeps the operation counts meaningful).
 pub fn extend_to_maximal_from(
     db: &Database,
-    mut set: TupleSet,
+    set: TupleSet,
     rel_min: usize,
     stats: &mut Stats,
 ) -> TupleSet {
-    loop {
-        stats.extension_passes += 1;
-        let mut grew = false;
-        for rel_idx in rel_min..db.num_relations() {
-            let rel = RelId(rel_idx as u16);
-            // Skip relations already represented or unreachable from the
-            // current set (footnote 5's refinement).
-            if set.tuple_from(db, rel).is_some() {
-                continue;
-            }
-            if !set
-                .tuples()
-                .iter()
-                .any(|&m| db.rels_connected(db.rel_of(m), rel))
-            {
-                continue;
-            }
-            for t in db.probe(rel, set.bindings()) {
-                stats.extension_scans += 1;
-                if can_add(db, &set, t, stats) {
-                    set = add_tuple(db, &set, t);
-                    grew = true;
-                    break; // one tuple per relation; move on.
-                }
-            }
-        }
-        if !grew {
-            return set;
-        }
-    }
+    crate::getnext::extend_maximal(&crate::model::Exact, db, set, rel_min, stats)
 }
 
 /// Extracts the binding value of `attr` from tuple `t` if its schema has

@@ -13,14 +13,14 @@
 //! * [`core`] — the paper's algorithms and data structures;
 //! * [`baselines`] — brute-force oracle, Rajaraman–Ullman outerjoin
 //!   sequences, and a Kanza–Sagiv-2003-style batch algorithm;
-//! * [`workloads`] — synthetic schema/data generators for experiments;
-//! * [`live`] — a re-export shim over the dynamic surface, which lives
-//!   in [`core`]: the transactional [`FdSession`](crate::core::FdSession)
-//!   (batched `DeltaBatch` commits, one maintenance pass per commit,
-//!   push `EventSink` subscribers). The `fd watch` REPL drives it from
-//!   the command line, and `fd serve` / `fd connect`
-//!   ([`core::serve`]) expose one shared session
-//!   over TCP with commit events fanned out to subscribed clients.
+//! * [`workloads`] — synthetic schema/data generators for experiments.
+//!
+//! The dynamic surface lives in [`core`] too: the transactional
+//! [`FdSession`](crate::core::FdSession) (batched `DeltaBatch` commits,
+//! one maintenance pass per commit, push `EventSink` subscribers). The
+//! `fd watch` REPL drives it from the command line, and `fd serve` /
+//! `fd connect` ([`core::serve`]) expose one shared session over TCP with
+//! commit events fanned out to subscribed clients.
 //!
 //! ## Quickstart
 //!
@@ -90,7 +90,6 @@
 
 pub use fd_baselines as baselines;
 pub use fd_core as core;
-pub use fd_live as live;
 pub use fd_relational as relational;
 pub use fd_workloads as workloads;
 

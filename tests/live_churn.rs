@@ -6,8 +6,8 @@
 //! duplicate or a non-maximal set.
 
 use full_disjunction::baselines::brute::oracle_fd;
+use full_disjunction::core::FdEvent;
 use full_disjunction::core::{canonicalize, FMax, FdSession, ImpScores, RankingFunction, TupleSet};
-use full_disjunction::live::FdEvent;
 use full_disjunction::relational::{Delta, RelId, TupleId, Value};
 use full_disjunction::workloads::{chain, star, DataSpec};
 use rand::rngs::StdRng;
